@@ -73,7 +73,6 @@ class RawCounts:
         self.prefixes = prefixes
         self.factors = sorted(factors)
         self.symbols = tuple(symbols)
-        self.total = len(words)
 
     def residual(self, u, w) -> float:
         """u⁻¹P_S(wΣ*) = #prefix(uw) / #prefix(u)."""
