@@ -4,8 +4,6 @@ A workload builds a fixed list of inputs in set-up; a run makes whole
 passes over that list, one operation after the other in one thread
 (a closed loop with one client). `op` is the timed part; `record`
 (traced run only) and `check` run after it and are not timed.
-`fingerprint` covers everything `check` reads, so an output equal to
-one already checked for the same input takes that verdict.
 """
 from __future__ import annotations
 
@@ -78,14 +76,6 @@ class LearnLp:
     def record(self, sample, out, tr) -> None:
         settle(tr)
         tr.note("learner.states", out[0].automaton.n)
-
-    @staticmethod
-    def fingerprint(out):
-        trace, l1 = out
-        a = trace.automaton
-        return (repr([(s.v, s.decision, s.achieved_eps, s.coefficients) for s in trace.steps]),
-                a.labels, a.iota.tobytes(), a.tau.tobytes(),
-                tuple(a.matrices[x].tobytes() for x in a.alphabet.symbols), l1)
 
     def check(self, sample, out) -> list[str]:
         trace, l1 = out
@@ -162,13 +152,6 @@ class IdentifyUnary:
         tr.note("rationalize.parameters", len(report.entries))
         tr.note("rationalize.recovered", sum(e.rational is not None for e in report.entries))
 
-    @staticmethod
-    def fingerprint(out):
-        sample, _, exact, report, identified = out
-        return (hash(sample.words), len(sample.words), exact.mode, exact.labels,
-                repr([*exact.iota, *exact.tau, *exact.matrices["a"].flat]),
-                report.complete, identified)
-
     def check(self, inp, out) -> list[str]:
         _, _, probability, _ = inp
         sample, _, exact, report, identified = out
@@ -234,13 +217,6 @@ class NormalizeDraw:
 
     def record(self, fresh_inp, out, tr) -> None:
         tr.note("normalize.nodes", len(out[0].memo))
-
-    @staticmethod
-    def fingerprint(out):
-        ns, words, bracket = out
-        memo = [(u, rec.lam, rec.mass, rec.weight, tuple(rec.child_prefix.items()))
-                for u, rec in ns.memo.items()]
-        return hash(tuple(words)), len(words), hash(tuple(memo)), tuple(bracket.items())
 
     def check(self, fresh_inp, out) -> list[str]:
         ns, words, bracket = out
