@@ -417,8 +417,11 @@ def _weight_from_doc(v, mode: str):
     if mode == RATIONAL:
         if not isinstance(v, str):
             raise InputError(f"rational weights must be 'p/q' strings, got {v!r}")
-        return Fraction(v)
-    if isinstance(v, str):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError as exc:
+            raise InputError(f"rational weight {v!r} has a zero denominator") from exc
+    if isinstance(v, (str, bool)):
         raise InputError(f"float weights must be numbers, got {v!r}")
     return float(v)
 

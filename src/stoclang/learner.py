@@ -57,6 +57,7 @@ class FeasibilityOutcome:
     feasible: bool
     solution: dict[Word, float] | None
     achieved_eps: float
+    dual_bound: float
     diagnostic: str | None = None
 
 
@@ -101,43 +102,51 @@ def build_system(trie: EmpiricalTrie, q_words, v: Word, eps: float,
 def solve_feasibility(sys: FeasibilitySystem) -> FeasibilityOutcome:
     """Minimize the L∞ violation t; feasible iff t ≤ eps (+1e-9 slack).
 
-    Free variables are split into nonnegative pairs and the program is
-    handed to the deterministic two-phase simplex.
+    With A the row coefficients and b the targets, the Chebyshev fit
+    min t s.t. |Ax − b| ≤ t, Σx = 1 is solved through its dual
+
+        max bᵀ(p − q) + μ  s.t.  Aᵀ(p − q) + μ·1 = 0,  1ᵀ(p + q) + s = 1,
+                                 p, q, s ≥ 0,  μ free,
+
+    whose k + 1 rows (k states) go to the deterministic two-phase
+    simplex; x is minus the row prices of its optimal basis on the k
+    state rows.  All-zero rows and repeated rows are dropped first: they
+    change neither the optimum nor the largest residual.  `achieved_eps`
+    is the largest residual of x over the rows, and `dual_bound` the
+    dual objective, a lower bound on the optimum by weak duality.
     """
     k = len(sys.variables)
-    nrows = len(sys.rows)
-    nstruct = 2 * k + 1 + 2 * nrows
-    a = np.zeros((2 * nrows + 1, nstruct))
-    b = np.zeros(2 * nrows + 1)
-    c = np.zeros(nstruct)
-    c[2 * k] = 1.0
-    for i, row in enumerate(sys.rows):
-        coeffs = np.array(row.coeffs)
-        a[2 * i, :k] = coeffs
-        a[2 * i, k:2 * k] = -coeffs
-        a[2 * i, 2 * k] = -1.0
-        a[2 * i, 2 * k + 1 + 2 * i] = 1.0
-        b[2 * i] = row.target
-        a[2 * i + 1, :k] = -coeffs
-        a[2 * i + 1, k:2 * k] = coeffs
-        a[2 * i + 1, 2 * k] = -1.0
-        a[2 * i + 1, 2 * k + 2 + 2 * i] = 1.0
-        b[2 * i + 1] = -row.target
-    a[2 * nrows, :k] = 1.0
-    a[2 * nrows, k:2 * k] = -1.0
-    b[2 * nrows] = 1.0
-
-    status, z, _ = solve_lp(a, b, c)
-    if status != OPTIMAL:
-        return FeasibilityOutcome(False, None, math.inf,
-                                  diagnostic=f"linear program ended {status}")
-    x = z[:k] - z[k:2 * k]
-    achieved = 0.0
-    for row in sys.rows:
-        achieved = max(achieved, abs(row.target - float(np.dot(row.coeffs, x))))
+    distinct = dict.fromkeys((row.coeffs, row.target) for row in sys.rows
+                             if row.target != 0 or any(row.coeffs))
+    m = len(distinct)
+    if m == 0:
+        x = np.zeros(k)
+        x[0] = 1.0
+        achieved = dual_bound = 0.0
+    else:
+        a = np.array([coeffs for coeffs, _ in distinct], dtype=float)
+        b = np.array([target for _, target in distinct], dtype=float)
+        # columns: p (m), q (m), μ⁺, μ⁻, s
+        lp = np.zeros((k + 1, 2 * m + 3))
+        lp[:k, :m] = a.T
+        lp[:k, m:2 * m] = -a.T
+        lp[:k, 2 * m] = 1.0
+        lp[:k, 2 * m + 1] = -1.0
+        lp[k, :2 * m] = 1.0
+        lp[k, 2 * m + 2] = 1.0
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        cost = np.concatenate([-b, b, [-1.0, 1.0, 0.0]])
+        status, _, objective, prices = solve_lp(lp, rhs, cost)
+        if status != OPTIMAL:
+            return FeasibilityOutcome(False, None, math.inf, -math.inf,
+                                      diagnostic=f"linear program ended {status}")
+        x = -prices[:k]
+        achieved = float(np.max(np.abs(a @ x - b)))
+        dual_bound = -objective
     feasible = achieved <= sys.eps + SOLVE_SLACK
     solution = dict(zip(sys.variables, (float(v) for v in x))) if feasible else None
-    return FeasibilityOutcome(feasible, solution, achieved)
+    return FeasibilityOutcome(feasible, solution, achieved, dual_bound)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Two-phase dense simplex with Bland's rule.
 
-Solves min c·z subject to A·z = b, z ≥ 0.  Pivoting is deterministic
-(Bland's entering rule; ties in the ratio test broken by smallest basic
-index), which both prevents cycling and makes every caller reproducible.
-Only meant for the small tableaus produced by the feasibility systems.
+Solves min c·z subject to A·z = b, z ≥ 0, and returns the row prices y
+of the optimal basis B (Bᵀy = c_B) with the solution.  Pivoting is
+deterministic (Bland's entering rule; ties in the ratio test broken by
+smallest basic index), which both prevents cycling and makes every
+caller reproducible.  Meant for few rows: the learner hands it the dual
+of its Chebyshev fit, one row per state plus one, and many columns.
 """
 from __future__ import annotations
 
@@ -30,13 +32,10 @@ def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
 def _iterate(t: np.ndarray, basis: list[int], ncols: int, max_iter: int) -> str:
     m = t.shape[0] - 1
     for _ in range(max_iter):
-        enter = -1
-        for j in range(ncols):
-            if t[m, j] < -ZERO_TOL:
-                enter = j
-                break
-        if enter < 0:
+        negative = t[m, :ncols] < -ZERO_TOL
+        if not negative.any():
             return OPTIMAL
+        enter = int(negative.argmax())
         leave = -1
         best_ratio = None
         best_basic = None
@@ -55,17 +54,22 @@ def _iterate(t: np.ndarray, basis: list[int], ncols: int, max_iter: int) -> str:
     return DEGENERATE
 
 
-def solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-             max_iter: int = 20000) -> tuple[str, np.ndarray | None, float]:
-    """Returns (status, z, objective); z is None unless status is optimal."""
+def solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray, max_iter: int = 20000
+             ) -> tuple[str, np.ndarray | None, float, np.ndarray | None]:
+    """Returns (status, z, objective, y); z and y are None unless optimal.
+
+    y prices the rows of `a` as given: bᵀy equals the objective and
+    c − aᵀy ≥ 0 up to the pivoting tolerance.  When phase 1 drops a
+    redundant row, y is the least-norm solution of Bᵀy = c_B.
+    """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
     m, n = a.shape if a.size else (len(b), len(c))
     if m == 0:
         if np.all(c >= -ZERO_TOL):
-            return OPTIMAL, np.zeros(n), 0.0
-        return UNBOUNDED, None, -np.inf
+            return OPTIMAL, np.zeros(n), 0.0, np.zeros(0)
+        return UNBOUNDED, None, -np.inf, None
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
@@ -81,9 +85,9 @@ def solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     # artificials may not re-enter: scan structural columns only
     status = _iterate(t, basis, n, max_iter)
     if status != OPTIMAL:
-        return (DEGENERATE if status == DEGENERATE else INFEASIBLE), None, np.inf
+        return (DEGENERATE if status == DEGENERATE else INFEASIBLE), None, np.inf, None
     if -t[m, -1] > FEAS_TOL:
-        return INFEASIBLE, None, np.inf
+        return INFEASIBLE, None, np.inf, None
 
     # drive leftover artificials out of the basis; drop redundant rows
     keep_rows = []
@@ -109,8 +113,14 @@ def solve_lp(a: np.ndarray, b: np.ndarray, c: np.ndarray,
             t2[m] -= c[basis[i]] * t2[i]
     status = _iterate(t2, basis, n, max_iter)
     if status != OPTIMAL:
-        return status, None, np.inf
+        return status, None, np.inf, None
     z = np.zeros(n)
     for i in range(m):
         z[basis[i]] = t2[i, -1]
-    return OPTIMAL, z, float(c @ z)
+    basic = a[:, basis].T
+    if m == len(b):
+        y = np.linalg.solve(basic, c[basis])
+    else:
+        y = np.linalg.lstsq(basic, c[basis], rcond=None)[0]
+    y[neg] *= -1.0  # price the rows as given, before their sign was normalized
+    return OPTIMAL, z, float(c @ z), y

@@ -443,6 +443,20 @@ def test_malformed_documents_rejected():
         loads_ma("not json at all")
 
 
+def test_zero_denominator_weight_rejected():
+    doc = {"alphabet": ["a"], "mode": "rational", "n": 1, "iota": ["1/1"],
+           "tau": ["1/0"], "matrices": {"a": [["0/1"]]}}
+    with pytest.raises(InputError, match="zero denominator"):
+        loads_ma(json.dumps(doc))
+
+
+def test_boolean_float_weight_rejected():
+    doc = {"alphabet": ["a"], "mode": "float", "n": 1, "iota": [1.0],
+           "tau": [True], "matrices": {"a": [[0.5]]}}
+    with pytest.raises(InputError, match="True"):
+        loads_ma(json.dumps(doc))
+
+
 def test_mode_mixing_is_rejected():
     with pytest.raises(InputError):
         MultiplicityAutomaton(UN, [1.0], [0.5], {"a": [[0.5]]}, mode=RATIONAL)

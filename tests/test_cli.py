@@ -215,6 +215,21 @@ def test_missing_model_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode, tau", [("rational", "1/0"), ("float", True)])
+def test_eval_rejects_bad_weight_with_exit_2(tmp_path, capsys, mode, tau):
+    # a zero denominator or a JSON boolean weight is malformed input
+    one = "1/1" if mode == "rational" else 1.0
+    half = "1/2" if mode == "rational" else 0.5
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"alphabet": ["a"], "mode": mode, "n": 1, "iota": [one],
+                                 "tau": [tau], "matrices": {"a": [[half]]}}))
+    words = tmp_path / "w.txt"
+    words.write_text("#alphabet: a\n\na\n")
+    code, out, err = run(capsys, "eval", "--in", str(model), "--words", str(words))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_no_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])

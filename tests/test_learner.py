@@ -5,15 +5,17 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from stoclang import (
     Alphabet, ContractError, FeasibilityRow, FeasibilitySystem, InputError,
     Sample, build_a_alpha, build_system, build_trie, dees, draw_sample,
     epsilon_schedule, equal_ma, fixture, is_pa, prefix_weight,
-    prefixial_reduced_representation, solve_feasibility, state_word_weight,
-    structure_agrees, trim, unit_mass, word_weight,
+    prefixial_reduced_representation, random_pa, solve_feasibility,
+    state_word_weight, structure_agrees, trim, unit_mass, word_weight,
 )
 
 AB = Alphabet(("a", "b"))
@@ -132,6 +134,79 @@ def test_feasibility_monotone_in_slack(seed):
     if star > 1e-6:
         tight = solve_feasibility(FeasibilitySystem(variables, rows, eps=star / 2))
         assert not tight.feasible
+
+
+def chebyshev_optimum(variables, rows) -> float:
+    """min t s.t. |Ax − b| ≤ t, Σx = 1, t ≥ 0, solved by HiGHS."""
+    k = len(variables)
+    a = np.array([r.coeffs for r in rows], dtype=float).reshape(len(rows), k)
+    b = np.array([r.target for r in rows], dtype=float)
+    ones = np.ones((len(rows), 1))
+    res = linprog(np.r_[np.zeros(k), 1.0],
+                  A_ub=np.vstack([np.hstack([a, -ones]), np.hstack([-a, -ones])]),
+                  b_ub=np.r_[b, -b], A_eq=np.r_[np.ones(k), 0.0][None, :], b_eq=[1.0],
+                  bounds=[(None, None)] * k + [(0, None)], method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+def random_rows(rng, n_vars: int, n_rows: int) -> tuple[FeasibilityRow, ...]:
+    coeffs = rng.uniform(-1, 1, (n_rows, n_vars))
+    if n_vars > 1 and rng.random() < 0.3:
+        coeffs[:, -1] = coeffs[:, 0]  # two states with the same residual
+    return tuple(FeasibilityRow(w=("a",) * i, target=float(rng.uniform(-1, 1)),
+                                coeffs=tuple(float(c) for c in coeffs[i]))
+                 for i in range(n_rows))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_feasibility_ignores_row_order_repeats_and_zero_rows(seed):
+    # the optimum matches HiGHS, the dual objective certifies it from below,
+    # and neither the verdict nor the optimum depends on how rows are listed
+    rng = np.random.default_rng(seed)
+    n_vars, n_rows = int(rng.integers(1, 7)), int(rng.integers(1, 30))
+    variables = tuple((("a",) * i) for i in range(n_vars))
+    rows = random_rows(rng, n_vars, n_rows)
+    optimum = chebyshev_optimum(variables, rows)
+    eps = optimum * float(rng.choice([0.5, 2.0])) + float(rng.choice([0.0, 1e-3]))
+    base = solve_feasibility(FeasibilitySystem(variables, rows, eps))
+    assert base.achieved_eps == pytest.approx(optimum, abs=1e-7)
+    assert base.dual_bound <= base.achieved_eps + 1e-9
+    assert base.dual_bound == pytest.approx(base.achieved_eps, abs=1e-9)
+    zero = FeasibilityRow(w=("b",), target=0.0, coeffs=(0.0,) * n_vars)
+    repeats = [int(i) for i in rng.integers(0, n_rows, 3)]
+    variants = (
+        tuple(rows[int(i)] for i in rng.permutation(n_rows)),
+        rows + tuple(rows[i] for i in repeats),
+        (zero,) + rows[:1] + (zero, zero) + rows[1:],
+    )
+    for variant in variants:
+        out = solve_feasibility(FeasibilitySystem(variables, variant, eps))
+        assert out.feasible == base.feasible
+        assert out.achieved_eps == pytest.approx(base.achieved_eps, abs=1e-9)
+
+
+def test_row_order_cannot_make_a_feasible_system_infeasible():
+    # a 4-state random PA at n = 3·10⁴; sorting this system's rows once drove
+    # a phase-1 pivot sequence into a false "infeasible" verdict
+    sample = draw_sample(random_pa(np.random.default_rng(1), 4, "abc", min_stop=0.1),
+                         30000, 0)
+    states = [(), ("c",), ("c", "c"), ("c", "c", "a"), ("c", "c", "a", "a"),
+              ("c", "c", "a", "b")]
+    full = build_system(build_trie(sample), states, tuple("ccacbc"),
+                        eps=30000 ** (-1.0 / 3.0))
+    first = {}
+    for r in full.rows:
+        if r.target != 0 or any(r.coeffs):
+            first.setdefault((r.coeffs, r.target), r)
+    distinct = tuple(first.values())
+    ordered = tuple(sorted(distinct, key=lambda r: (r.coeffs, r.target)))
+    assert (len(full.rows), len(distinct)) == (1285, 125)
+    for rows in (full.rows, distinct, ordered):
+        out = solve_feasibility(FeasibilitySystem(full.variables, rows, full.eps))
+        assert out.feasible
+        assert out.achieved_eps == pytest.approx(0.0298478031, abs=1e-9)
 
 
 # -- dees -------------------------------------------------------------------------
