@@ -21,7 +21,7 @@ from .automata import (
 )
 from .sampling import (
     Sample, EmpiricalTrie, sample_word, draw_sample, build_trie,
-    empirical_residual_prefix, factors, psi_bound,
+    empirical_residual_prefix,
     load_sample, save_sample,
 )
 from .learner import (
@@ -56,7 +56,7 @@ __all__ = [
     "absolute_convergence_certificate", "build_a_alpha", "equal_ma",
     "load_ma", "save_ma", "dumps_ma", "loads_ma",
     "Sample", "EmpiricalTrie", "sample_word", "draw_sample", "build_trie",
-    "empirical_residual_prefix", "factors", "psi_bound",
+    "empirical_residual_prefix",
     "load_sample", "save_sample",
     "FeasibilityRow", "FeasibilitySystem", "FeasibilityOutcome", "DeesTrace",
     "build_system", "solve_feasibility", "dees", "epsilon_schedule",

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .exact_linalg import solve as exact_solve
+from .exact_linalg import span_coefficients
 from .words import Alphabet, Word
 
 FLOAT = "float"
@@ -211,9 +211,10 @@ def _resolvent_tau(a: MultiplicityAutomaton) -> np.ndarray:
         _check_convergent(a)
         m = a.letter_sum()
         if a.mode == RATIONAL:
-            sys = [[(Fraction(1) if i == j else Fraction(0)) - m[i, j] for j in range(a.n)]
-                   for i in range(a.n)]
-            sol = exact_solve(sys, list(a.tau))
+            # the columns of I − M, so that (I − M)·s = τ
+            columns = [[(Fraction(1) if i == j else Fraction(0)) - m[i, j] for i in range(a.n)]
+                       for j in range(a.n)]
+            sol = span_coefficients(columns, list(a.tau))
             s = np.empty(a.n, dtype=object)
             s[:] = sol
         else:

@@ -9,50 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a·x = b exactly by Gaussian elimination.
-
-    Raises ZeroDivisionError-free ValueError when `a` is singular.
-    """
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix in exact solve")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1, 1) / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank of a list of row vectors."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1, 1) / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
 def span_coefficients(basis: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
     """Coefficients expressing `target` over independent `basis` vectors.
 

@@ -8,6 +8,9 @@ residuals of the states kept so far, up to an L∞ slack eps: the system
     |v⁻¹P_S(wΣ*) − Σ_u x_u · u⁻¹P_S(wΣ*)| ≤ eps   for every w ∈ fact(S)
     Σ_u x_u = 1
 
+Only the rows w with vw or some uw a prefix in S constrain x; the
+others read |0 − 0| ≤ eps and are never built.
+
 If no solution exists, v becomes a new state; otherwise the solution
 coefficients wire v's incoming transition onto the existing states.
 """
@@ -26,7 +29,7 @@ from .automata import (FLOAT, RATIONAL, MultiplicityAutomaton,
                        absolute_convergence_certificate, is_pa, prefix_weight,
                        tail_sum, word_weight)
 from .errors import ContractError, FeasibilityError, InputError
-from .sampling import EmpiricalTrie, Sample, build_trie
+from .sampling import EMPTY_NODE, EmpiricalTrie, Sample, build_trie
 from .simplex import OPTIMAL, solve_lp
 from .words import EPSILON, Word
 
@@ -68,34 +71,42 @@ def epsilon_schedule(n: int) -> float:
     return float(n) ** (-1.0 / 3.0)
 
 
-def build_system(trie: EmpiricalTrie, q_words, v: Word, eps: float,
-                 max_factor_len: int | None = None) -> FeasibilitySystem:
-    """One row per distinct w ∈ fact(S), in length-lex order."""
+def build_system(trie: EmpiricalTrie, q_words, v: Word,
+                 eps: float) -> FeasibilitySystem:
+    """The rows of I(Q, v, S, eps) with support, in length-lex order of w.
+
+    A row w ∈ fact(S) on which neither vw nor any uw is a prefix in S
+    reads |0 − 0| ≤ eps and holds for every x, so only the rows below
+    v or below some state are built.  They come from one walk, level by
+    level, over the subtrees at v and at every state, all advanced
+    together; a missing node is the empty sentinel, and a word is kept
+    while any of its nodes exists.  Each level's words are extended in
+    alphabet order, so the rows come out length-lex ordered.
+    """
     variables = tuple(q_words)
     v_node = trie.node(v)
     if v_node is None or v_node.prefix_count == 0:
         raise ContractError(f"frontier word {v} has no mass in the sample")
-    u_nodes = []
+    nodes = [v_node]
     for u in variables:
         node = trie.node(u)
         if node is None or node.prefix_count == 0:
             raise ContractError(f"state word {u} has no mass in the sample")
-        u_nodes.append(node)
-
-    def walk_count(node, w: Word) -> int:
-        for s in w:
-            node = node.children.get(s)
-            if node is None:
-                return 0
-        return node.prefix_count
-
+        nodes.append(node)
+    bases = [node.prefix_count for node in nodes]
+    symbols = trie.alphabet.symbols
     rows = []
-    for w in trie.factor_set():
-        if max_factor_len is not None and len(w) > max_factor_len:
-            continue
-        target = walk_count(v_node, w) / v_node.prefix_count
-        coeffs = tuple(walk_count(nd, w) / nd.prefix_count for nd in u_nodes)
-        rows.append(FeasibilityRow(w, target, coeffs))
+    level = [(EPSILON, nodes)]
+    while level:
+        below = []
+        for w, group in level:
+            values = [nd.prefix_count / base for nd, base in zip(group, bases)]
+            rows.append(FeasibilityRow(w, values[0], tuple(values[1:])))
+            for s in symbols:
+                children = [nd.children.get(s, EMPTY_NODE) for nd in group]
+                if children.count(EMPTY_NODE) < len(children):
+                    below.append((w + (s,), children))
+        level = below
     return FeasibilitySystem(variables, tuple(rows), eps)
 
 
@@ -177,8 +188,7 @@ class DeesTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def dees(sample: Sample, eps_exponent: float = -1.0 / 3.0,
-         max_factor_len: int | None = None) -> DeesTrace:
+def dees(sample: Sample, eps_exponent: float = -1.0 / 3.0) -> DeesTrace:
     """Learn a prefixial MA from a sample; returns the trace with the automaton.
 
     The slack is sample.size ** eps_exponent; the default exponent -1/3
@@ -211,8 +221,7 @@ def dees(sample: Sample, eps_exponent: float = -1.0 / 3.0,
         _, v = heapq.heappop(frontier)
         u, x = v[:-1], v[-1]
         ratio = trie.prefix_count(v) / trie.prefix_count(u)
-        outcome = solve_feasibility(build_system(trie, states, v, eps,
-                                                 max_factor_len=max_factor_len))
+        outcome = solve_feasibility(build_system(trie, states, v, eps))
         if outcome.feasible:
             for w, alpha in outcome.solution.items():
                 phi[(u, x, w)] = alpha * ratio
@@ -364,12 +373,7 @@ def _stack_condition(vectors: list[list]) -> float:
 def _dependency(basis: list[list], vec: list, rational: bool):
     """Coefficients writing vec over basis, or None when independent."""
     if rational:
-        if exact_linalg.rank([list(b) for b in basis] + [list(vec)]) > len(basis):
-            return None
-        coeffs = exact_linalg.span_coefficients([list(b) for b in basis], list(vec))
-        if coeffs is None:
-            raise FeasibilityError("exact rank test and exact solve disagree")
-        return coeffs
+        return exact_linalg.span_coefficients([list(b) for b in basis], list(vec))
     mat = np.array(basis, dtype=float)
     target = np.array(vec, dtype=float)
     stacked = np.vstack([mat, target])

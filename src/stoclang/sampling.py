@@ -9,7 +9,6 @@ same sample bit for bit.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -160,6 +159,10 @@ class _Node:
         self.children: dict[str, _Node] = {}
 
 
+# the node below every missing child: no count and no children
+EMPTY_NODE = _Node()
+
+
 class EmpiricalTrie:
     """Prefix-count tree over a sample.
 
@@ -171,7 +174,6 @@ class EmpiricalTrie:
     def __init__(self, alphabet: Alphabet, words: Iterable[Word]):
         self.alphabet = alphabet
         self.root = _Node()
-        self._factors: list[Word] | None = None
         total = 0
         for w, c in Counter(words).items():
             total += c
@@ -199,38 +201,9 @@ class EmpiricalTrie:
         node = self.node(u)
         return 0 if node is None else node.end_count
 
-    def p_end(self, u: Word) -> float:
-        """P_S(u)."""
-        return self.end_count(u) / self.total
-
     def p_prefix(self, u: Word) -> float:
         """P_S(uΣ*)."""
         return self.prefix_count(u) / self.total
-
-    def factor_set(self) -> list[Word]:
-        """fact(S): every downward path segment of the trie, length-lex ordered.
-
-        A segment starting at any node is a factor of every sampled word
-        passing below it, and every factor arises this way; the result
-        is cached (the trie never changes).
-        """
-        if self._factors is None:
-            nodes = []
-            stack = [self.root]
-            while stack:
-                nd = stack.pop()
-                nodes.append(nd)
-                stack.extend(nd.children.values())
-            seen: set[Word] = set()
-            for start in nodes:
-                inner: list[tuple[_Node, Word]] = [(start, ())]
-                while inner:
-                    nd, seg = inner.pop()
-                    seen.add(seg)
-                    for s, ch in nd.children.items():
-                        inner.append((ch, seg + (s,)))
-            self._factors = sorted(seen, key=self.alphabet.lenlex_key)
-        return self._factors
 
 
 def build_trie(sample: Sample) -> EmpiricalTrie:
@@ -248,31 +221,6 @@ def empirical_residual_prefix(trie: EmpiricalTrie, u: Word, w: Word) -> float:
         if node is None:
             return 0.0
     return node.prefix_count / base.prefix_count
-
-
-def factors(sample: Sample) -> list[Word]:
-    """All distinct factors of all sample words, length-lex ordered."""
-    seen: set[Word] = set()
-    for w in set(sample.words):
-        for i in range(len(w) + 1):
-            for j in range(i, len(w) + 1):
-                seen.add(w[i:j])
-    return sorted(seen, key=sample.alphabet.lenlex_key)
-
-
-def psi_bound(eps: float, delta: float, c: float = 1.0) -> float:
-    """Advisory sample-size bound c²·(2 − ln(δ/4))/ε².
-
-    The log is natural.  The constant c is configuration only; nothing
-    in the learner consumes this value.
-    """
-    if not eps > 0:
-        raise InputError("eps must be positive")
-    if not 0 < delta < 1:
-        raise InputError("delta must lie in (0,1)")
-    if not c > 0:
-        raise InputError("c must be positive")
-    return c * c * (2.0 - math.log(delta / 4.0)) / (eps * eps)
 
 
 # ---------------------------------------------------------------------------

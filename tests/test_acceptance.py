@@ -23,28 +23,37 @@ def verdict(number: int, ok: bool, detail: str) -> None:
     print(f"[criterion {number}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def path_weight(a: MultiplicityAutomaton, w) -> object:
+def path_weight(a: MultiplicityAutomaton, w) -> Fraction:
     """Sum over all state paths of ι(q0)·φ(q0,x1,q1)···τ(qk).
 
     Depth-first over the full path tree, accumulating the product along
-    the way; every one of the n^(|w|+1) paths is visited.
+    the way; every one of the n^(|w|+1) paths is visited.  The weights of
+    `random_ma` are signed eighths, so the products are taken on integer
+    numerators (weight × 8) and their sum is divided once by 8^(|w|+2).
     """
-    mats = [a.matrices[x] for x in w]
+    def eighths(v) -> int:
+        num = v * 8
+        assert num == int(num), f"weight {v} is not a multiple of 1/8"
+        return int(num)
+
+    iota = [eighths(v) for v in a.iota]
+    tau = [eighths(v) for v in a.tau]
+    mats = [[[eighths(v) for v in row] for row in a.matrices[x]] for x in w]
     states = range(a.n)
-    total = a.zero()
+    total = 0
 
     def walk(depth, i, acc):
         nonlocal total
         if depth == len(w):
-            total = total + acc * a.tau[i]
+            total += acc * tau[i]
             return
-        m = mats[depth]
+        row = mats[depth][i]
         for j in states:
-            walk(depth + 1, j, acc * m[i, j])
+            walk(depth + 1, j, acc * row[j])
 
     for i in states:
-        walk(0, i, a.iota[i])
-    return total
+        walk(0, i, iota[i])
+    return Fraction(total, 8 ** (len(w) + 2))
 
 
 def random_ma(rng, n, alphabet, rational) -> MultiplicityAutomaton:

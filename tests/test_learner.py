@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -66,12 +67,41 @@ def test_system_two_letter_sample():
     ]
 
 
-def test_system_has_one_row_per_factor():
-    sample = make_sample(["ab", "ba", "a", "", "abb"])
-    trie = build_trie(sample)
-    sys = build_system(trie, ((),), ("a",), eps=0.5)
-    from stoclang import factors
-    assert len(sys.rows) == len(factors(sample))
+def brute_factors(words):
+    out = {()}
+    for w in words:
+        for i in range(len(w)):
+            for j in range(i + 1, len(w) + 1):
+                out.add(w[i:j])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b"]), max_size=6), min_size=1,
+                max_size=20), st.data())
+def test_system_is_the_paper_system_without_zero_rows(raw, data):
+    # I(Q, v, S, eps) has one row per w ∈ fact(S); built here from raw
+    # counts, its rows that are not all zero are exactly build_system's
+    words = [tuple(w) for w in raw]
+    counts = Counter(words)
+    with_mass = sorted({w[:k] for w in words for k in range(len(w) + 1)},
+                       key=AB.lenlex_key)
+    v = data.draw(st.sampled_from(with_mass))
+    states = data.draw(st.lists(st.sampled_from(with_mass), min_size=1,
+                                max_size=4, unique=True))
+
+    def prefix_count(u):
+        return sum(c for w, c in counts.items() if w[:len(u)] == u)
+
+    expect = []
+    for w in sorted(brute_factors(words), key=AB.lenlex_key):
+        target = prefix_count(v + w) / prefix_count(v)
+        coeffs = tuple(prefix_count(u + w) / prefix_count(u) for u in states)
+        if target != 0 or any(coeffs):
+            expect.append((w, target, coeffs))
+    sys = build_system(build_trie(Sample(AB, tuple(words))), states, v, eps=0.1)
+    assert sys.variables == tuple(states)
+    assert [(r.w, r.target, r.coeffs) for r in sys.rows] == expect
 
 
 def test_system_rows_in_length_lex_order():
@@ -202,7 +232,7 @@ def test_row_order_cannot_make_a_feasible_system_infeasible():
             first.setdefault((r.coeffs, r.target), r)
     distinct = tuple(first.values())
     ordered = tuple(sorted(distinct, key=lambda r: (r.coeffs, r.target)))
-    assert (len(full.rows), len(distinct)) == (1285, 125)
+    assert (len(full.rows), len(distinct)) == (940, 125)
     for rows in (full.rows, distinct, ordered):
         out = solve_feasibility(FeasibilitySystem(full.variables, rows, full.eps))
         assert out.feasible

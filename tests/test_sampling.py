@@ -1,7 +1,6 @@
 """Sampling, empirical tries, and residual queries."""
 from __future__ import annotations
 
-import math
 import statistics
 
 import numpy as np
@@ -11,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stoclang import (
     Alphabet, ContractError, InputError, MultiplicityAutomaton, Sample,
     UndefinedResidualError, build_trie, draw_sample, empirical_residual_prefix,
-    factors, fixture, load_sample, prefix_weight, psi_bound, sample_word,
-    save_sample,
+    fixture, load_sample, prefix_weight, sample_word, save_sample,
 )
 
 AB = Alphabet(("a", "b"))
@@ -165,56 +163,6 @@ def test_residuals_partition_unit_mass():
         total += sum(empirical_residual_prefix(t, u, (x,))
                      for x in s.alphabet.symbols)
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-# -- factors --------------------------------------------------------------------------
-
-def test_factors_examples():
-    assert factors(make_sample([""])) == [()]
-    assert factors(make_sample(["ab"])) == [(), ("a",), ("b",), ("a", "b")]
-    assert factors(make_sample(["aa", "ab"])) == [
-        (), ("a",), ("b",), ("a", "a"), ("a", "b")]
-
-
-def brute_factors(words):
-    out = {()}
-    for w in words:
-        for i in range(len(w)):
-            for j in range(i + 1, len(w) + 1):
-                out.add(w[i:j])
-    return out
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(st.sampled_from(["a", "b"]), max_size=6), min_size=1,
-                max_size=20))
-def test_factor_set_matches_substring_enumeration(raw):
-    words = [tuple(w) for w in raw]
-    s = Sample(AB, tuple(words))
-    expect = sorted(brute_factors(words), key=AB.lenlex_key)
-    assert factors(s) == expect
-    assert build_trie(s).factor_set() == expect
-
-
-# -- psi_bound -------------------------------------------------------------------------
-
-def test_psi_at_log_friendly_point():
-    assert psi_bound(1.0, 4 / math.e ** 2, 1.0) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_psi_reference_value():
-    assert psi_bound(0.1, 0.05, 1.0) == pytest.approx(638.2026634673881, abs=1e-6)
-
-
-def test_psi_scales_with_c_squared():
-    assert psi_bound(0.2, 0.1, 2.0) == pytest.approx(4 * psi_bound(0.2, 0.1, 1.0))
-
-
-def test_psi_domain():
-    for bad in [(0.0, 0.1, 1.0), (0.1, 0.0, 1.0), (0.1, 1.0, 1.0),
-                (0.1, 0.1, 0.0)]:
-        with pytest.raises(InputError):
-            psi_bound(*bad)
 
 
 # -- sample files -----------------------------------------------------------------------
